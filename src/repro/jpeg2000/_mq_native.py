@@ -27,11 +27,8 @@ Design constraints:
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import os
-import subprocess
-import tempfile
 
+from repro.jpeg2000._native_build import load_library
 from repro.jpeg2000.mq import STATE_TABLE
 
 _C_TEMPLATE = r"""
@@ -171,40 +168,8 @@ def _c_source() -> str:
     )
 
 
-def _build_library():
-    """Compile (or load the cached) shared object; None on any failure."""
-    src = _c_source()
-    tag = hashlib.sha256(src.encode()).hexdigest()[:16]
-    cache_dir = os.path.join(
-        tempfile.gettempdir(), f"repro-mq-native-{os.getuid()}"
-    )
-    so_path = os.path.join(cache_dir, f"mq_{tag}.so")
-    if not os.path.exists(so_path):
-        os.makedirs(cache_dir, mode=0o700, exist_ok=True)
-        c_path = os.path.join(cache_dir, f"mq_{tag}_{os.getpid()}.c")
-        tmp_so = so_path + f".{os.getpid()}.tmp"
-        try:
-            with open(c_path, "w") as fh:
-                fh.write(src)
-            subprocess.run(
-                ["cc", "-O2", "-shared", "-fPIC", "-o", tmp_so, c_path],
-                check=True,
-                capture_output=True,
-                timeout=60,
-            )
-            os.replace(tmp_so, so_path)  # atomic vs. concurrent builders
-        except (OSError, subprocess.SubprocessError):
-            return None
-        finally:
-            for path in (c_path, tmp_so):
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass
-    try:
-        lib = ctypes.CDLL(so_path)
-    except OSError:
-        return None
+def _bind(lib):
+    """Declare the two entry points' signatures on the loaded library."""
     fn = lib.mq_encode_run
     fn.restype = ctypes.c_long
     fn.argtypes = [
@@ -301,8 +266,8 @@ native_encode_run = None
 #: Callable ``(MQDecoder, bytes) -> bytes`` or None when unavailable.
 native_decode_run = None
 
-if os.environ.get("REPRO_MQ_NATIVE", "1") != "0":
-    _fns = _build_library()
-    if _fns is not None:
-        native_encode_run = _make_wrapper(_fns[0])
-        native_decode_run = _make_decode_wrapper(_fns[1])
+_lib = load_library("mq", _c_source())
+if _lib is not None:
+    _fns = _bind(_lib)
+    native_encode_run = _make_wrapper(_fns[0])
+    native_decode_run = _make_decode_wrapper(_fns[1])

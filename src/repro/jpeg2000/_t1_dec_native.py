@@ -30,13 +30,10 @@ Design constraints mirror :mod:`repro.jpeg2000._mq_native`:
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import os
-import subprocess
-import tempfile
 
 import numpy as np
 
+from repro.jpeg2000._native_build import load_library
 from repro.jpeg2000.mq import STATE_TABLE
 from repro.jpeg2000.tier1 import (
     CTX_RUNLEN,
@@ -277,40 +274,8 @@ def _c_source() -> str:
     )
 
 
-def _build_library():
-    """Compile (or load the cached) shared object; None on any failure."""
-    src = _c_source()
-    tag = hashlib.sha256(src.encode()).hexdigest()[:16]
-    cache_dir = os.path.join(
-        tempfile.gettempdir(), f"repro-mq-native-{os.getuid()}"
-    )
-    so_path = os.path.join(cache_dir, f"t1dec_{tag}.so")
-    if not os.path.exists(so_path):
-        os.makedirs(cache_dir, mode=0o700, exist_ok=True)
-        c_path = os.path.join(cache_dir, f"t1dec_{tag}_{os.getpid()}.c")
-        tmp_so = so_path + f".{os.getpid()}.tmp"
-        try:
-            with open(c_path, "w") as fh:
-                fh.write(src)
-            subprocess.run(
-                ["cc", "-O2", "-shared", "-fPIC", "-o", tmp_so, c_path],
-                check=True,
-                capture_output=True,
-                timeout=60,
-            )
-            os.replace(tmp_so, so_path)  # atomic vs. concurrent builders
-        except (OSError, subprocess.SubprocessError):
-            return None
-        finally:
-            for path in (c_path, tmp_so):
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass
-    try:
-        lib = ctypes.CDLL(so_path)
-    except OSError:
-        return None
+def _bind(lib):
+    """Declare the entry point's signature on the loaded library."""
     fn = lib.t1_decode_block
     fn.restype = ctypes.c_int
     fn.argtypes = [
@@ -358,7 +323,6 @@ def _make_wrapper(fn):
 #: or None when unavailable.
 native_decode_block = None
 
-if os.environ.get("REPRO_MQ_NATIVE", "1") != "0":
-    _fn = _build_library()
-    if _fn is not None:
-        native_decode_block = _make_wrapper(_fn)
+_lib = load_library("t1dec", _c_source())
+if _lib is not None:
+    native_decode_block = _make_wrapper(_bind(_lib))

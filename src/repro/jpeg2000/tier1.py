@@ -135,16 +135,36 @@ def encode_codeblock(
     :mod:`repro.jpeg2000.tier1_batch` (called here with a single-block
     batch; its real win comes from the encoder handing it every code block
     of an image at once), and ``"auto"`` (default, also via the
-    ``REPRO_TIER1_BACKEND`` environment variable) picks the vectorized
-    coder for all but tiny blocks.
+    ``REPRO_TIER1_BACKEND`` environment variable) codes tiny blocks with
+    the reference coder and all others with the compiled whole-block
+    kernel (:mod:`repro.jpeg2000._t1_enc_native`).
+
+    What ``auto`` and ``batched`` run, with the kernel loaded / without it
+    (no compiler, failed build, or ``REPRO_MQ_NATIVE=0``):
+
+    * ``auto``: the reference coder below
+      :data:`AUTO_VECTORIZE_MIN_SAMPLES` samples either way; otherwise the
+      kernel / the vectorized coder.
+    * ``batched``: the kernel per block / the NumPy stacked passes.
+
+    A block outside the kernel's limits (more than ``MAX_MSBS`` bit planes,
+    or coded data past its output bound) takes the path without it.
+    ``reference`` and ``vectorized`` always run as named: they are the
+    test oracles and the no-compiler path.  Every path gives identical
+    results.
     """
     backend = resolve_backend(backend)
     if backend == "auto":
         arr = _validate_block(coeffs)
-        backend = (
-            "vectorized" if arr.size >= AUTO_VECTORIZE_MIN_SAMPLES
-            else "reference"
-        )
+        if arr.size < AUTO_VECTORIZE_MIN_SAMPLES:
+            return encode_codeblock_reference(arr, band)
+        from repro.jpeg2000 import _t1_enc_native
+
+        if _t1_enc_native.native_encode_block is not None:
+            result = _t1_enc_native.native_encode_block(arr, band)
+            if result is not None:
+                return result
+        backend = "vectorized"
     if backend == "vectorized":
         from repro.jpeg2000.tier1_vec import encode_codeblock_vectorized
 

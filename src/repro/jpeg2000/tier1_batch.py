@@ -44,6 +44,11 @@ Correctness requirements and how they are met:
 The iteration structure (blocks of a group advance through planes in lock
 step, each draining its own MQ state) is the software analogue of the
 paper's time-shared Tier-1 SPE kernel.
+
+When the compiled whole-block kernel (:mod:`repro.jpeg2000._t1_enc_native`)
+is loaded, :func:`encode_codeblocks_batched` still forms the groups but
+codes each block with the kernel; the stacked passes then serve only
+blocks outside its limits, and every block when no compiler is present.
 """
 
 from __future__ import annotations
@@ -455,6 +460,13 @@ def encode_codeblocks_batched(
     list of :class:`CodeBlockResult` matches the input order and is
     byte-identical to encoding each block with either per-block backend.
     ``occupancy`` (optional) is filled with batching statistics.
+
+    With the compiled kernel loaded
+    (:data:`repro.jpeg2000._t1_enc_native.native_encode_block`), every
+    block of every geometry group is coded by it, one call per block;
+    only blocks outside its limits go through the stacked NumPy passes,
+    which also code everything when the kernel is unavailable.  Grouping
+    and ``occupancy`` are the same either way.
     """
     arrs = []
     bands = []
@@ -466,6 +478,8 @@ def encode_codeblocks_batched(
         bands.append(band)
         groups.setdefault(arr.shape, []).append(i)
 
+    from repro.jpeg2000._t1_enc_native import native_encode_block
+
     results: list[CodeBlockResult | None] = [None] * len(arrs)
     largest = 0
     for (h, w), idxs in groups.items():
@@ -474,6 +488,13 @@ def encode_codeblocks_batched(
             for i in idxs:
                 results[i] = CodeBlockResult(data=b"", num_passes=0, msbs=0)
             continue
+        if native_encode_block is not None:
+            for i in idxs:
+                results[i] = native_encode_block(arrs[i], bands[i])
+            # Blocks outside the kernel's limits keep the stacked path.
+            idxs = [i for i in idxs if results[i] is None]
+            if not idxs:
+                continue
         _encode_group([arrs[i] for i in idxs], [bands[i] for i in idxs],
                       idxs, results)
 

@@ -206,6 +206,11 @@ class _InheritedSocketHTTPServer(ServiceHTTPServer):
         self.socket.close()
         self.socket = listen_sock
         self.server_address = listen_sock.getsockname()
+        # One connection wakes every shard's selector but only one
+        # accept() wins.  A blocking accept() would park the losers until
+        # the next connection, deaf to shutdown(); non-blocking, they get
+        # BlockingIOError, which socketserver treats as "no connection".
+        listen_sock.setblocking(False)
 
 
 def _install_aggregation(server, service, bus, shard_id: int) -> None:

@@ -512,6 +512,23 @@ class TestShardCluster:
                 assert resp.status == 200
                 assert resp.headers["X-Shard"] in ("0", "1")
 
+    def test_inherited_fd_cluster_drains_promptly(self):
+        # One connection wakes both shards' selectors on the shared
+        # listener, but only one accept() wins.  The loser must still see
+        # shutdown() instead of waiting out the SIGKILL deadline.
+        body = _pgm(watch_face_image(48, 48, channels=1))
+        cluster = _cluster(2, listener="inherit").start()
+        try:
+            url = f"http://127.0.0.1:{cluster.port}"
+            _wait_healthy(url)
+            with _post(url + "/encode", body) as resp:
+                assert resp.status == 200
+        finally:
+            t0 = time.monotonic()
+            cluster.stop()
+            drain_s = time.monotonic() - t0
+        assert drain_s < 10.0, f"inherit-FD drain took {drain_s:.1f} s"
+
     def test_crashed_shard_is_respawned(self):
         with _cluster(2) as cluster:
             url = f"http://127.0.0.1:{cluster.port}"

@@ -221,19 +221,38 @@ class TestEncodeRunParity:
     reason="native kernel disabled via environment",
 )
 def test_native_kernel_optionality():
-    """With the kernel force-disabled, everything still encodes."""
+    """With the kernels force-disabled, everything still encodes, and a
+    default encode gives the bytes it gives with them."""
+    import hashlib
     import subprocess
     import sys
 
+    from repro.image.synthetic import watch_face_image
+    from repro.jpeg2000.encoder import encode
+    from repro.jpeg2000.params import EncoderParams
+
+    img = watch_face_image(40, 36, channels=3)
+    expected = [
+        hashlib.sha256(encode(img, EncoderParams(**kw)).codestream).hexdigest()
+        for kw in ({}, {"lossless": False, "rate": 0.25})
+    ]
     code = (
-        "import numpy as np;"
-        "from repro.jpeg2000 import _mq_native;"
+        "import hashlib, numpy as np;"
+        "from repro.jpeg2000 import _mq_native, _t1_enc_native;"
         "assert _mq_native.native_encode_run is None;"
+        "assert _t1_enc_native.native_encode_block is None;"
         "from repro.jpeg2000.tier1 import encode_codeblock;"
         "from repro.jpeg2000.tier1_vec import encode_codeblock_vectorized;"
         "cb = np.arange(-32, 32, dtype=np.int32).reshape(8, 8);"
         "assert encode_codeblock_vectorized(cb, 'HL') == "
-        "encode_codeblock(cb, 'HL', backend='reference')"
+        "encode_codeblock(cb, 'HL', backend='reference');"
+        "from repro.image.synthetic import watch_face_image;"
+        "from repro.jpeg2000.encoder import encode;"
+        "from repro.jpeg2000.params import EncoderParams;"
+        "img = watch_face_image(40, 36, channels=3);"
+        "got = [hashlib.sha256(encode(img, EncoderParams(**kw)).codestream)"
+        ".hexdigest() for kw in ({}, {'lossless': False, 'rate': 0.25})];"
+        f"assert got == {expected!r}, got"
     )
     env = dict(os.environ, REPRO_MQ_NATIVE="0",
                PYTHONPATH=os.pathsep.join(__import__("sys").path))
